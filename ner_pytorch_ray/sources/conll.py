@@ -8,7 +8,8 @@ Reference semantics (loader.py:21-42, re-expressed):
 
 Two surfaces:
   * ``load_sentences_py`` — exact single-process loader (differential-tested
-    against the reference's own loader on its shipped corpora);
+    against the reference's own loader on its shipped corpora and on the
+    committed fixture ``tests/data/mini.conll``);
   * ``read_conll`` — Ray Dataset of sentence rows. File-per-task: a CoNLL
     file cannot be split mid-sentence, so each file is one read task (the
     reference corpus model is many files; a 100 TB corpus would be many
@@ -27,24 +28,31 @@ from ner_pytorch_ray.functions.textnorm import zero_digits
 def load_sentences_py(
     path: str, lower: bool = False, zeros: bool = True
 ) -> list[list[list[str]]]:
-    """Exact reference loader semantics (loader.py:21-42). ``lower`` is kept
+    r"""Exact reference loader semantics (loader.py:21-42). ``lower`` is kept
     for signature parity: the reference lowercases at id-lookup time, not
-    here (loader.py:135-139)."""
+    here (loader.py:135-139).
+
+    The reference iterates ``codecs.open``, which breaks lines at every
+    Unicode line boundary (``str.splitlines``: also ``\x0b``, ``\x0c``,
+    ``\x1c``-``\x1e``, ``\x85``, U+2028, U+2029), not only at ``\n``/``\r``
+    as a text-mode ``open`` does; ``newline=""`` keeps ``\r\n`` intact so it
+    stays one break."""
     sentences: list[list[list[str]]] = []
     sentence: list[list[str]] = []
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = zero_digits(line.rstrip()) if zeros else line.rstrip()
-            if not line:
-                if sentence:
-                    if "DOCSTART" not in sentence[0][0]:
-                        sentences.append(sentence)
-                    sentence = []
-            else:
-                cols = line.split()
-                if len(cols) < 2:
-                    raise ValueError(f"CoNLL line with <2 columns: {line!r}")
-                sentence.append(cols)
+    with open(path, encoding="utf-8", newline="") as f:
+        lines = f.read().splitlines()
+    for line in lines:
+        line = zero_digits(line.rstrip()) if zeros else line.rstrip()
+        if not line:
+            if sentence:
+                if "DOCSTART" not in sentence[0][0]:
+                    sentences.append(sentence)
+                sentence = []
+        else:
+            cols = line.split()
+            if len(cols) < 2:
+                raise ValueError(f"CoNLL line with <2 columns: {line!r}")
+            sentence.append(cols)
     if sentence and "DOCSTART" not in sentence[0][0]:
         sentences.append(sentence)
     return sentences

@@ -14,6 +14,10 @@ REFERENCE_PATH = "/root/reference"
 
 @pytest.fixture(scope="session")
 def reference_path():
+    # Tests that import the reference's own modules run only where the
+    # reference checkout exists.
+    if not os.path.isdir(REFERENCE_PATH):
+        pytest.skip(f"reference checkout {REFERENCE_PATH} not present")
     # Stub out torch so the reference's pure modules (utils/conlleval) import
     # in this torch-less sandbox; we only call their stdlib+numpy functions.
     import types

@@ -1,52 +1,58 @@
 """CoNLL + GloVe sources: differential parity with the reference loader."""
 
+import os
+
 import numpy as np
 import pytest
 
 REF_TESTA = "/root/reference/dataset/eng.testa"
+# Hand-written CoNLL file: -DOCSTART- blocks, blank-line runs, digits,
+# non-ASCII tokens, a CRLF line, token rows split by U+0085 / U+2028 /
+# U+2029 / \x0b / \x0c, and a final sentence with no trailing newline.
+MINI_CONLL = os.path.join(os.path.dirname(__file__), "data", "mini.conll")
+CONLL_FILES = [MINI_CONLL] + [p for p in [REF_TESTA] if os.path.exists(p)]
 
 
-def test_load_sentences_matches_reference(reference_path):
-    import importlib
-
-    ref_loader_src = open("/root/reference/loader.py").read()
+def test_load_sentences_matches_reference():
     # the reference loader module imports model->torch; replicate only its
-    # load_sentences against ours on the real corpus
+    # load_sentences against ours on each corpus
+    import codecs
+
+    from ner_pytorch_ray.functions import zero_digits
     from ner_pytorch_ray.sources.conll import load_sentences_py
 
-    ours = load_sentences_py(REF_TESTA, zeros=True)
-    # reference semantics re-executed inline (loader.py:21-42)
-    import codecs
-    from ner_pytorch_ray.functions import zero_digits
+    for path in CONLL_FILES:
+        ours = load_sentences_py(path, zeros=True)
+        # reference semantics re-executed inline (loader.py:21-42)
+        sentences, sentence = [], []
+        for line in codecs.open(path, "r", "utf-8"):
+            line = zero_digits(line.rstrip())
+            if not line:
+                if len(sentence) > 0:
+                    if "DOCSTART" not in sentence[0][0]:
+                        sentences.append(sentence)
+                    sentence = []
+            else:
+                word = line.split()
+                assert len(word) >= 2
+                sentence.append(word)
+        if len(sentence) > 0 and "DOCSTART" not in sentence[0][0]:
+            sentences.append(sentence)
 
-    sentences, sentence = [], []
-    for line in codecs.open(REF_TESTA, "r", "utf-8"):
-        line = zero_digits(line.rstrip())
-        if not line:
-            if len(sentence) > 0:
-                if "DOCSTART" not in sentence[0][0]:
-                    sentences.append(sentence)
-                sentence = []
-        else:
-            word = line.split()
-            assert len(word) >= 2
-            sentence.append(word)
-    if len(sentence) > 0 and "DOCSTART" not in sentence[0][0]:
-        sentences.append(sentence)
-
-    assert len(ours) == len(sentences)
-    assert ours == sentences
+        assert len(ours) == len(sentences)
+        assert ours == sentences
 
 
 def test_read_conll_dataset(ray_session):
     from ner_pytorch_ray.sources.conll import read_conll, load_sentences_py
 
-    ds = read_conll(REF_TESTA)
-    n = ds.count()
-    assert n == len(load_sentences_py(REF_TESTA))
-    row = ds.take(1)[0]
-    assert set(row) == {"url", "sent_id", "tokens", "tags"}
-    assert len(row["tokens"]) == len(row["tags"])
+    for path in CONLL_FILES:
+        ds = read_conll(path)
+        n = ds.count()
+        assert n == len(load_sentences_py(path))
+        row = ds.take(1)[0]
+        assert set(row) == {"url", "sent_id", "tokens", "tags"}
+        assert len(row["tokens"]) == len(row["tags"])
 
 
 def test_glove_reader_roundtrip(tmp_path):
